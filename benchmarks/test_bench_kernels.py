@@ -3,12 +3,10 @@
 Runs the exact same workload — repeated cold batched marginal-utility
 evaluations (population + congestion solve + derivative chain) over the
 §5 eight-CP market plus a vectorized best-response sweep — once under the
-default ``numpy`` backend and once under the best available ``compiled``
-backend, asserts the results agree to solver tolerance, and records both
+default ``numpy`` backend and once under the ``compiled`` backend, asserts the results agree to solver tolerance, and records both
 timings plus the compiled run's kernel counters into ``BENCH_kernels.json``.
 
-On a machine with neither numba nor a C compiler, ``compiled`` resolves to
-numpy and the recorded speedup is ~1; the record's ``compiled_backend``
+On a machine without a C compiler, ``compiled`` resolves to numpy and the recorded speedup is ~1; the record's ``compiled_backend``
 field says which kernels actually ran.
 """
 

@@ -106,8 +106,6 @@ class _Kernels:
     float64/int64/uint8 arrays.
     """
 
-    HAVE_NUMBA = False
-
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._lib = lib
         lib.repro_vexp.restype = None

@@ -9,16 +9,14 @@ row — same operations in the same order — so, evaluated with the same
 scalar ``exp`` (libm here, via :mod:`math`), the results are bitwise
 identical. That property is what the golden kernel-parity tests pin.
 
-The module is written in the restricted style numba can compile: plain
-loops over float64 arrays, scalar math, out-parameters. When numba is
-importable every kernel is ``@njit(cache=True)`` (fastmath stays *off* —
-bitwise parity forbids reassociation); otherwise the same functions run
-as pure Python, which is slow but exercises identical arithmetic — the
-``pyloops`` backend and the no-numba CI job both run this fallback.
+The module is plain loops over float64 arrays, scalar math and
+out-parameters — the shape the C kernels in ``_kernels.c`` mirror. Run as
+pure Python it is slow but exercises identical arithmetic; the
+``pyloops`` backend runs it directly.
 
 Batch drivers return failure *lists* (all failing rows with their last
 bracket intervals), never raise: exception construction is the caller's
-job (:mod:`repro.backend.dispatch`), keeping these functions numba-pure.
+job (:mod:`repro.backend.dispatch`), so the C kernels can mirror them.
 """
 
 from __future__ import annotations
@@ -27,23 +25,7 @@ import math
 
 import numpy as np
 
-try:  # pragma: no cover - exercised only where numba is installed
-    from numba import njit as _njit
-
-    HAVE_NUMBA = True
-
-    def _jit(func):
-        return _njit(cache=True, fastmath=False)(func)
-
-except ImportError:  # pragma: no cover - the only path in numba-less envs
-    HAVE_NUMBA = False
-
-    def _jit(func):
-        return func
-
-
 __all__ = [
-    "HAVE_NUMBA",
     "congestion_batch",
     "marginal_batch",
     "best_response_root",
@@ -52,7 +34,6 @@ __all__ = [
 ]
 
 
-@_jit
 def _safe_div(a: float, b: float) -> float:
     """IEEE-style division: ``b == 0`` yields a signed inf (or nan)."""
     if b != 0.0:
@@ -60,7 +41,6 @@ def _safe_div(a: float, b: float) -> float:
     return a * math.copysign(math.inf, b)
 
 
-@_jit
 def _clamp0(v: float) -> float:
     """``np.maximum(v, 0.0)`` bit-for-bit: ``-0.0`` maps to ``+0.0``."""
     if v <= 0.0:
@@ -68,7 +48,6 @@ def _clamp0(v: float) -> float:
     return v
 
 
-@_jit
 def _sgn(v: float) -> int:
     """Sign of ``v`` as an int (works on numpy scalars in pure Python too)."""
     if v > 0.0:
@@ -78,14 +57,12 @@ def _sgn(v: float) -> int:
     return 0
 
 
-@_jit
 def exp_inplace(values, out):
     """Elementwise libm ``exp`` over a flat float64 array."""
     for k in range(values.shape[0]):
         out[k] = math.exp(values[k])
 
 
-@_jit
 def pair_dot_batch(a, b, out):
     """Row-wise dot of two ``(B, N)`` matrices, sequential accumulation."""
     for row in range(a.shape[0]):
@@ -102,7 +79,6 @@ def pair_dot_batch(a, b, out):
 # g(phi) = phi*mu - sum_k m_k * peak_k * exp(-beta_k * phi).
 
 
-@_jit
 def _gap_value(phi, m, beta, peak, mu):
     demand = 0.0
     for k in range(m.shape[0]):
@@ -111,7 +87,6 @@ def _gap_value(phi, m, beta, peak, mu):
     return phi * mu - demand
 
 
-@_jit
 def _gap_and_slope(phi, m, beta, peak, mu):
     demand = 0.0
     dslope = 0.0
@@ -122,7 +97,6 @@ def _gap_and_slope(phi, m, beta, peak, mu):
     return phi * mu - demand, mu - dslope
 
 
-@_jit
 def _newton_row(x, m, beta, peak, mu, rtol, max_iter):
     """Safeguarded Newton; mirrors ``newton_polish_batch`` row-wise."""
     evals = 0
@@ -144,7 +118,6 @@ def _newton_row(x, m, beta, peak, mu, rtol, max_iter):
     return x, False, evals
 
 
-@_jit
 def _expand_row(m, beta, peak, mu):
     """Geometric expansion; mirrors ``expand_bracket_batch`` row-wise."""
     f_lo = _gap_value(0.0, m, beta, peak, mu)
@@ -171,7 +144,6 @@ def _expand_row(m, beta, peak, mu):
     return lo, hi, f_lo, f_hi, False, evals, expansions
 
 
-@_jit
 def _bracket_row(lo, hi, f_lo, f_hi, m, beta, peak, mu, xtol, bisect_iters, max_iter):
     """Bisection + Illinois; mirrors ``bracketed_root_batch`` row-wise.
 
@@ -211,7 +183,6 @@ def _bracket_row(lo, hi, f_lo, f_hi, m, beta, peak, mu, xtol, bisect_iters, max_
     return 0.5 * (lo + hi), evals
 
 
-@_jit
 def _congestion_row(m, beta, peak, mu, phi0, has_phi0, xtol_final):
     """One row of ``solve_population_batch``: warm Newton, then cold solve.
 
@@ -268,7 +239,6 @@ def _congestion_row(m, beta, peak, mu, phi0, has_phi0, xtol_final):
     return polished, True, 0.0, 0.0, evals, expansions
 
 
-@_jit
 def congestion_batch(
     populations,
     beta,
@@ -316,7 +286,6 @@ def congestion_batch(
 # the all-exponential fast path exactly (they agree element-wise).
 
 
-@_jit
 def _marginal_row(
     srow,
     price,
@@ -376,7 +345,6 @@ def _marginal_row(
     return phi, True, True, 0.0, 0.0, evals, expansions
 
 
-@_jit
 def marginal_batch(
     s,
     price,
@@ -446,7 +414,6 @@ def marginal_batch(
 # ----------------------------------------------------------------------
 
 
-@_jit
 def _diag_marginals(
     own,
     sclip,
@@ -515,7 +482,6 @@ def _diag_marginals(
     return 0, -1
 
 
-@_jit
 def best_response_root(
     s,
     price,

@@ -441,7 +441,7 @@ def _add_runtime_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         choices=list(BACKEND_NAMES),
         help="array/kernel backend for this run (default: $REPRO_BACKEND "
-        "or numpy; 'compiled' picks the fastest available)",
+        "or numpy; 'compiled' picks cext, else numpy)",
     )
     parser.add_argument(
         "--profile",

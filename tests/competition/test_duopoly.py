@@ -1,14 +1,29 @@
-"""Unit tests for repro.competition.duopoly."""
+"""Golden reference for two-carrier competition.
+
+:class:`LegacyDuopoly` is the original scalar two-carrier price
+competition, kept as a standalone reference implementation: in-process
+best-response searches over nested scalar equilibrium solves, a two-term
+logit share and its own warm-start chain. ``OligopolyGame`` with two
+carriers routes every search through the solve service and must reproduce
+it bit for bit — here and in ``test_oligopoly.py``.
+"""
+
+import math
+from typing import NamedTuple
 
 import numpy as np
-import pytest
 
-from repro.competition import Duopoly, solve_price_competition
-from repro.core.revenue import optimal_price
-from repro.engine import SolveCache, SolveService, SolveStore
-from repro.engine.service import set_default_service
-from repro.exceptions import ModelError
-from repro.providers import AccessISP, Market, exponential_cp
+from repro.competition import (
+    IterationPolicy,
+    OligopolyGame,
+    solve_oligopoly_competition,
+)
+from repro.core.equilibrium import EquilibriumResult, solve_equilibrium
+from repro.core.game import SubsidizationGame
+from repro.engine import SolveCache, SolveService
+from repro.exceptions import ConvergenceError
+from repro.network.demand import ScaledDemand
+from repro.providers import AccessISP, ContentProvider, Market, exponential_cp
 from repro.solvers.scalar_opt import grid_polish_maximize
 
 
@@ -19,143 +34,65 @@ def providers():
     ]
 
 
-def symmetric_duopoly(switching=2.0, cap=0.0):
-    return Duopoly(
-        providers(),
-        AccessISP(price=1.0, capacity=0.5, name="isp-a"),
-        AccessISP(price=1.0, capacity=0.5, name="isp-b"),
-        switching=switching,
-        cap=cap,
-    )
+class LegacyState(NamedTuple):
+    prices: tuple[float, float]
+    shares: tuple[float, float]
+    equilibria: tuple[EquilibriumResult, EquilibriumResult]
+    revenues: tuple[float, float]
+    welfare: float
 
 
-class TestShares:
-    def test_equal_prices_split_evenly(self):
-        duo = symmetric_duopoly()
-        assert duo.shares(1.0, 1.0) == pytest.approx((0.5, 0.5))
-
-    def test_cheaper_carrier_wins_share(self):
-        duo = symmetric_duopoly(switching=3.0)
-        w_a, w_b = duo.shares(0.5, 1.0)
-        assert w_a > 0.5 > w_b
-        assert w_a + w_b == pytest.approx(1.0)
-
-    def test_zero_switching_is_captive(self):
-        duo = symmetric_duopoly(switching=0.0)
-        assert duo.shares(0.1, 2.0) == pytest.approx((0.5, 0.5))
-
-    def test_extreme_prices_do_not_overflow(self):
-        duo = symmetric_duopoly(switching=10.0)
-        w_a, w_b = duo.shares(0.0, 1000.0)
-        assert w_a == pytest.approx(1.0)
-        assert w_b == pytest.approx(0.0)
+class LegacyCompetition(NamedTuple):
+    state: LegacyState
+    iterations: int
+    residual: float
 
 
-class TestCarrierDecomposition:
-    def test_carrier_market_scales_demand_by_share(self):
-        duo = symmetric_duopoly(switching=2.0)
-        prices = (0.8, 1.2)
-        w_a, _ = duo.shares(*prices)
-        market = duo.carrier_market(0, prices)
-        base = providers()[0].population(0.8)
-        assert market.providers[0].population(0.8) == pytest.approx(w_a * base)
+class LegacyDuopoly:
+    """The scalar two-carrier competition: two ISPs, one logit user base."""
 
-    def test_solve_state_consistency(self):
-        duo = symmetric_duopoly(cap=0.3)
-        state = duo.solve(0.9, 1.1)
-        assert state.prices == (0.9, 1.1)
-        assert state.shares[0] > state.shares[1]  # cheaper carrier bigger
-        for k in range(2):
-            assert state.revenues[k] == pytest.approx(
-                state.equilibria[k].state.revenue
+    def __init__(self, cps, isp_a, isp_b, *, switching=2.0, cap=0.0):
+        self.providers = tuple(cps)
+        self.isps = (isp_a, isp_b)
+        self.switching = float(switching)
+        self.cap = float(cap)
+        self._warm = {}
+
+    def shares(self, price_a, price_b):
+        za, zb = -self.switching * price_a, -self.switching * price_b
+        top = max(za, zb)
+        ea, eb = math.exp(za - top), math.exp(zb - top)
+        w_a = ea / (ea + eb)
+        return (w_a, 1.0 - w_a)
+
+    def carrier_market(self, index, prices):
+        w = self.shares(*prices)[index]
+        scaled = [
+            ContentProvider(
+                demand=ScaledDemand(cp.demand, w),
+                throughput=cp.throughput,
+                value=cp.value,
+                name=cp.name,
             )
-        assert state.total_revenue == pytest.approx(sum(state.revenues))
+            for cp in self.providers
+        ]
+        return Market(scaled, self.isps[index].with_price(prices[index]))
 
-    def test_symmetric_prices_give_symmetric_outcomes(self):
-        duo = symmetric_duopoly(cap=0.3)
-        state = duo.solve(1.0, 1.0)
-        np.testing.assert_allclose(
-            state.equilibria[0].subsidies, state.equilibria[1].subsidies,
-            atol=1e-8,
+    def _equilibrium(self, index, prices):
+        equilibrium = solve_equilibrium(
+            SubsidizationGame(self.carrier_market(index, prices), self.cap),
+            initial=self._warm.get(index),
         )
-        assert state.revenues[0] == pytest.approx(state.revenues[1], rel=1e-8)
-
-
-class TestPriceCompetition:
-    @pytest.fixture(scope="class")
-    def equilibrium(self):
-        duo = symmetric_duopoly(switching=2.0, cap=0.3)
-        return solve_price_competition(
-            duo, tol=1e-4, grid_points=16, price_range=(0.05, 2.0)
-        )
-
-    def test_converges_to_symmetric_prices(self, equilibrium):
-        p_a, p_b = equilibrium.state.prices
-        assert p_a == pytest.approx(p_b, abs=1e-3)
-
-    def test_competition_undercuts_monopoly(self, equilibrium):
-        # A monopolist serving the same total demand at the same capacity
-        # per head prices higher than either duopolist.
-        monopoly_market = Market(
-            providers(), AccessISP(price=1.0, capacity=1.0)
-        )
-        monopoly = optimal_price(
-            monopoly_market, cap=0.3, price_range=(0.05, 2.0)
-        )
-        assert equilibrium.state.prices[0] < monopoly.price
-
-    def test_competition_result_is_a_mutual_best_response(self, equilibrium):
-        duo = symmetric_duopoly(switching=2.0, cap=0.3)
-        p_a, p_b = equilibrium.state.prices
-        br_a = duo.best_response_price(
-            0, p_b, price_range=(0.05, 2.0), grid_points=16
-        )
-        assert br_a == pytest.approx(p_a, abs=0.02)
-
-
-class TestSwitchingSensitivity:
-    def test_more_switching_means_lower_prices(self):
-        sticky = solve_price_competition(
-            symmetric_duopoly(switching=0.5, cap=0.0),
-            tol=1e-3, grid_points=14, price_range=(0.05, 2.0),
-        )
-        fluid = solve_price_competition(
-            symmetric_duopoly(switching=4.0, cap=0.0),
-            tol=1e-3, grid_points=14, price_range=(0.05, 2.0),
-        )
-        assert fluid.state.prices[0] < sticky.state.prices[0]
-
-
-class TestSubsidizationUnderCompetition:
-    def test_deregulation_raises_both_carriers_revenue(self):
-        # §6's conjecture: competition plus subsidization still pays.
-        base = symmetric_duopoly(cap=0.0).solve(0.6, 0.6)
-        dereg = symmetric_duopoly(cap=0.5).solve(0.6, 0.6)
-        assert dereg.revenues[0] > base.revenues[0]
-        assert dereg.revenues[1] > base.revenues[1]
-        assert dereg.welfare > base.welfare
-
-
-class LegacyDuopoly(Duopoly):
-    """The pre-refactor scalar best-response search, re-implemented verbatim.
-
-    Before the solve-service reroute, ``best_response_price`` maximized a
-    closure of nested scalar ``revenue_of`` solves in-process. Golden
-    reference for the engine-path bitwise-parity tests below.
-    """
+        self._warm[index] = equilibrium.subsidies
+        return equilibrium
 
     def best_response_price(
-        self,
-        index,
-        rival_price,
-        *,
-        price_range=(0.0, 3.0),
-        grid_points=32,
+        self, index, rival_price, *, price_range=(0.0, 3.0), grid_points=32,
         xtol=1e-7,
     ):
         def revenue(p):
             prices = (p, rival_price) if index == 0 else (rival_price, p)
-            return self.revenue_of(index, prices)
+            return self._equilibrium(index, prices).state.revenue
 
         return grid_polish_maximize(
             revenue, price_range[0], price_range[1],
@@ -163,28 +100,42 @@ class LegacyDuopoly(Duopoly):
         ).x
 
     def solve(self, price_a, price_b):
-        from repro.competition.duopoly import DuopolyState
-        from repro.core.equilibrium import solve_equilibrium
-        from repro.core.game import SubsidizationGame
-
         prices = (float(price_a), float(price_b))
         shares = self.shares(*prices)
-        equilibria = []
-        for k in range(2):
-            market = self.carrier_market(k, prices)
-            equilibrium = solve_equilibrium(
-                SubsidizationGame(market, self.cap),
-                initial=self._warm.get(k),
-            )
-            self._warm[k] = equilibrium.subsidies
-            equilibria.append(equilibrium)
-        welfare = sum(eq.state.welfare for eq in equilibria)
-        return DuopolyState(
+        equilibria = (self._equilibrium(0, prices), self._equilibrium(1, prices))
+        return LegacyState(
             prices=prices,
             shares=shares,
-            equilibria=(equilibria[0], equilibria[1]),
+            equilibria=equilibria,
             revenues=(equilibria[0].state.revenue, equilibria[1].state.revenue),
-            welfare=welfare,
+            welfare=sum(eq.state.welfare for eq in equilibria),
+        )
+
+    def compete(
+        self, *, initial_prices=(1.0, 1.0), price_range=(0.0, 3.0),
+        damping=0.7, tol=1e-5, max_sweeps=60, grid_points=32, xtol=1e-7,
+    ):
+        """Damped Gauss-Seidel best-response iteration on the prices."""
+        prices = [float(initial_prices[0]), float(initial_prices[1])]
+        largest_change = np.inf
+        for sweep in range(1, max_sweeps + 1):
+            largest_change = 0.0
+            for k in range(2):
+                response = self.best_response_price(
+                    k, prices[1 - k], price_range=price_range,
+                    grid_points=grid_points, xtol=xtol,
+                )
+                step = damping * (response - prices[k])
+                largest_change = max(largest_change, abs(step))
+                prices[k] += step
+            if largest_change <= tol:
+                return LegacyCompetition(
+                    self.solve(prices[0], prices[1]), sweep, largest_change
+                )
+        raise ConvergenceError(
+            "reference competition not converged",
+            iterations=max_sweeps,
+            residual=largest_change,
         )
 
 
@@ -200,91 +151,47 @@ def assert_states_bitwise_equal(a, b):
         )
 
 
-def _duopoly_of(cls, **kwargs):
-    return cls(
-        providers(),
+def _isps():
+    return (
         AccessISP(price=1.0, capacity=0.5, name="isp-a"),
         AccessISP(price=1.0, capacity=0.5, name="isp-b"),
-        switching=2.0,
-        cap=0.3,
-        **kwargs,
+    )
+
+
+def _legacy():
+    return LegacyDuopoly(providers(), *_isps(), switching=2.0, cap=0.3)
+
+
+def _routed():
+    return OligopolyGame(
+        providers(), _isps(), switching=2.0, cap=0.3,
+        service=SolveService(cache=SolveCache()),
     )
 
 
 class TestEnginePathGolden:
-    """Golden: the service-routed search == the pre-refactor scalar path."""
+    """Golden: the service-routed N=2 search == the scalar reference."""
 
     def test_best_response_price_bitwise_parity(self):
-        legacy = _duopoly_of(LegacyDuopoly)
-        routed = _duopoly_of(
-            Duopoly, service=SolveService(cache=SolveCache())
-        )
+        legacy, routed = _legacy(), _routed()
         for index, rival in ((0, 1.1), (1, 0.7), (0, 0.9)):
+            prices = (1.0, rival) if index == 0 else (rival, 1.0)
             expected = legacy.best_response_price(
                 index, rival, price_range=(0.05, 2.0), grid_points=12
             )
             actual = routed.best_response_price(
-                index, rival, price_range=(0.05, 2.0), grid_points=12
+                index, prices, price_range=(0.05, 2.0), grid_points=12
             )
             assert actual == expected
 
     def test_price_competition_bitwise_parity(self):
-        old = solve_price_competition(
-            _duopoly_of(LegacyDuopoly),
-            tol=1e-4, grid_points=12, price_range=(0.05, 2.0),
+        old = _legacy().compete(
+            tol=1e-4, grid_points=12, price_range=(0.05, 2.0)
         )
-        routed = _duopoly_of(
-            Duopoly, service=SolveService(cache=SolveCache())
-        )
-        new = solve_price_competition(
-            routed, tol=1e-4, grid_points=12, price_range=(0.05, 2.0)
+        new = solve_oligopoly_competition(
+            _routed(), grid_points=12, price_range=(0.05, 2.0),
+            policy=IterationPolicy(tol=1e-4),
         )
         assert new.iterations == old.iterations
         assert new.residual == old.residual
         assert_states_bitwise_equal(new.state, old.state)
-
-    def test_warm_store_replays_competition_without_solves(self, tmp_path):
-        def run(service):
-            duo = Duopoly(
-                providers(),
-                AccessISP(price=1.0, capacity=0.5, name="isp-a"),
-                AccessISP(price=1.0, capacity=0.5, name="isp-b"),
-                switching=2.0,
-                cap=0.3,
-                service=service,
-            )
-            return solve_price_competition(
-                duo, tol=1e-4, grid_points=12, price_range=(0.05, 2.0)
-            )
-
-        first = run(
-            SolveService(cache=SolveCache(), store=SolveStore(tmp_path))
-        )
-        replay_service = SolveService(
-            cache=SolveCache(), store=SolveStore(tmp_path)
-        )
-        second = run(replay_service)
-        # Every best-response sweep replays from the persistent store.
-        assert replay_service.counters.computed == 0
-        assert replay_service.counters.store_hits > 0
-        assert second.iterations == first.iterations
-        assert_states_bitwise_equal(second.state, first.state)
-
-
-class TestValidation:
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ModelError):
-            Duopoly(
-                providers(),
-                AccessISP(price=1.0, capacity=1.0),
-                AccessISP(price=1.0, capacity=1.0),
-                switching=-1.0,
-            )
-        with pytest.raises(ModelError):
-            Duopoly(
-                [],
-                AccessISP(price=1.0, capacity=1.0),
-                AccessISP(price=1.0, capacity=1.0),
-            )
-        with pytest.raises(ValueError):
-            solve_price_competition(symmetric_duopoly(), damping=0.0)

@@ -5,19 +5,20 @@ import pytest
 
 from repro.competition import (
     COMPETITION_DEFAULTS,
-    Duopoly,
     IterationPolicy,
     OligopolyGame,
     competition_settings,
     oligopoly_shares,
     solve_oligopoly_competition,
-    solve_price_competition,
 )
-from repro.competition.duopoly import carrier_shares
 from repro.core.revenue import optimal_price
 from repro.engine import SolveCache, SolveService, SolveStore
 from repro.exceptions import ConvergenceError, ModelError
 from repro.providers import AccessISP, Market, exponential_cp
+from tests.competition.test_duopoly import (
+    LegacyDuopoly,
+    assert_states_bitwise_equal,
+)
 
 
 def providers():
@@ -52,24 +53,33 @@ def game_of(n, *, switching=2.0, cap=0.3, capacity=None, cps=None):
 
 
 class TestShares:
-    def test_two_carriers_delegate_to_duopoly_form_bitwise(self):
+    def test_two_carriers_use_the_complement_form_bitwise(self):
         for pair in ((1.0, 1.0), (0.3, 1.7), (0.0, 2.5)):
-            assert oligopoly_shares(2.0, pair) == carrier_shares(2.0, *pair)
+            shares = oligopoly_shares(2.0, pair)
+            assert shares[1] == 1.0 - shares[0]
 
     def test_single_carrier_owns_the_market(self):
         assert oligopoly_shares(3.0, (1.2,)) == (1.0,)
 
-    def test_three_carriers_sum_to_one_cheapest_wins(self):
-        shares = oligopoly_shares(2.0, (0.5, 1.0, 1.5))
+    @pytest.mark.parametrize(
+        "switching, prices", [(2.0, (0.5, 1.0, 1.5)), (3.0, (0.5, 1.0))]
+    )
+    def test_shares_sum_to_one_cheapest_wins(self, switching, prices):
+        shares = oligopoly_shares(switching, prices)
         assert sum(shares) == pytest.approx(1.0)
-        assert shares[0] > shares[1] > shares[2]
+        assert all(a > b for a, b in zip(shares, shares[1:]))
 
-    def test_zero_switching_is_captive(self):
-        shares = oligopoly_shares(0.0, (0.1, 1.0, 5.0, 2.0))
-        assert shares == pytest.approx((0.25,) * 4)
+    @pytest.mark.parametrize(
+        "switching, prices",
+        [(0.0, (0.1, 1.0, 5.0, 2.0)), (0.0, (0.1, 2.0)), (2.0, (1.0, 1.0))],
+    )
+    def test_captive_or_equal_prices_split_evenly(self, switching, prices):
+        shares = oligopoly_shares(switching, prices)
+        assert shares == pytest.approx((1.0 / len(prices),) * len(prices))
 
-    def test_extreme_prices_do_not_overflow(self):
-        shares = oligopoly_shares(10.0, (0.0, 1000.0, 2000.0))
+    @pytest.mark.parametrize("prices", [(0.0, 1000.0, 2000.0), (0.0, 1000.0)])
+    def test_extreme_prices_do_not_overflow(self, prices):
+        shares = oligopoly_shares(10.0, prices)
         assert shares[0] == pytest.approx(1.0)
         assert shares[1] == pytest.approx(0.0)
 
@@ -78,26 +88,56 @@ class TestShares:
             oligopoly_shares(2.0, ())
 
 
-class TestDuopolyParityGolden:
-    """N=2 under Gauss-Seidel is bit-for-bit the duopoly module."""
+class TestCarrierDecomposition:
+    def test_carrier_market_scales_demand_by_share(self):
+        game = game_of(2, capacity=0.5)
+        prices = (0.8, 1.2)
+        w_a = game.shares(prices)[0]
+        market = game.carrier_market(0, prices)
+        base = providers()[0].population(0.8)
+        assert market.providers[0].population(0.8) == pytest.approx(w_a * base)
 
-    def _duopoly(self, cps=providers):
-        return Duopoly(
-            cps(),
-            *carrier_isps(2, 0.5),
-            switching=2.0,
-            cap=0.3,
-            service=SolveService(cache=SolveCache()),
+    def test_solve_state_consistency(self):
+        state = game_of(2, capacity=0.5).solve((0.9, 1.1))
+        assert state.prices == (0.9, 1.1)
+        assert state.shares[0] > state.shares[1]  # cheaper carrier bigger
+        for k in range(2):
+            assert state.revenues[k] == pytest.approx(
+                state.equilibria[k].state.revenue
+            )
+        assert state.total_revenue == pytest.approx(sum(state.revenues))
+
+    def test_symmetric_prices_give_symmetric_outcomes(self):
+        state = game_of(2, capacity=0.5).solve((1.0, 1.0))
+        np.testing.assert_allclose(
+            state.equilibria[0].subsidies, state.equilibria[1].subsidies,
+            atol=1e-8,
         )
+        assert state.revenues[0] == pytest.approx(state.revenues[1], rel=1e-8)
+
+    def test_deregulation_raises_both_carriers_revenue(self):
+        # §6's conjecture: competition plus subsidization still pays.
+        base = game_of(2, cap=0.0, capacity=0.5).solve((0.6, 0.6))
+        dereg = game_of(2, cap=0.5, capacity=0.5).solve((0.6, 0.6))
+        assert dereg.revenues[0] > base.revenues[0]
+        assert dereg.revenues[1] > base.revenues[1]
+        assert dereg.welfare > base.welfare
+
+
+class TestDuopolyParityGolden:
+    """N=2 under Gauss-Seidel is bit-for-bit the scalar reference."""
+
+    def _reference(self, cps=providers):
+        return LegacyDuopoly(cps(), *carrier_isps(2, 0.5), switching=2.0, cap=0.3)
 
     def _oligopoly(self, cps=providers):
         return game_of(2, capacity=0.5, cps=cps())
 
     def test_best_response_price_bitwise_parity(self):
-        duo, olig = self._duopoly(), self._oligopoly()
+        ref, olig = self._reference(), self._oligopoly()
         for index, rival in ((0, 1.1), (1, 0.7), (0, 0.9)):
             prices = (1.0, rival) if index == 0 else (rival, 1.0)
-            expected = duo.best_response_price(
+            expected = ref.best_response_price(
                 index, rival, price_range=(0.05, 2.0), grid_points=10
             )
             actual = olig.best_response_price(
@@ -106,21 +146,13 @@ class TestDuopolyParityGolden:
             assert actual == expected
 
     def test_solve_state_bitwise_parity(self):
-        duo_state = self._duopoly().solve(0.9, 1.1)
-        olig_state = self._oligopoly().solve((0.9, 1.1))
-        assert olig_state.prices == duo_state.prices
-        assert olig_state.shares == duo_state.shares
-        assert olig_state.revenues == duo_state.revenues
-        assert olig_state.welfare == duo_state.welfare
-        for k in range(2):
-            assert (
-                olig_state.equilibria[k].subsidies.tobytes()
-                == duo_state.equilibria[k].subsidies.tobytes()
-            )
+        assert_states_bitwise_equal(
+            self._oligopoly().solve((0.9, 1.1)),
+            self._reference().solve(0.9, 1.1),
+        )
 
     def test_price_competition_bitwise_parity(self):
-        old = solve_price_competition(
-            self._duopoly(cheap_providers),
+        old = self._reference(cheap_providers).compete(
             initial_prices=(0.7, 0.7),
             tol=1e-3, grid_points=10, price_range=(0.05, 2.0),
         )
@@ -134,15 +166,7 @@ class TestDuopolyParityGolden:
         assert new.iterations == old.iterations
         assert new.residual == old.residual
         assert new.mode == "gauss-seidel"
-        assert new.state.prices == old.state.prices
-        assert new.state.shares == old.state.shares
-        assert new.state.revenues == old.state.revenues
-        assert new.state.welfare == old.state.welfare
-        for k in range(2):
-            assert (
-                new.state.equilibria[k].subsidies.tobytes()
-                == old.state.equilibria[k].subsidies.tobytes()
-            )
+        assert_states_bitwise_equal(new.state, old.state)
 
 
 class TestSection5Parity:
@@ -156,35 +180,86 @@ class TestSection5Parity:
             AccessISP(price=1.0, capacity=0.5, name=f"s5-{k}")
             for k in range(2)
         )
-        duo = Duopoly(
-            market.providers, *isps, switching=2.0, cap=0.5,
-            service=SolveService(cache=SolveCache()),
-        )
+        ref = LegacyDuopoly(market.providers, *isps, switching=2.0, cap=0.5)
         olig = OligopolyGame(
             market.providers, isps, switching=2.0, cap=0.5,
             service=SolveService(cache=SolveCache()),
         )
-        return duo, olig
+        return ref, olig
 
     def test_best_response_and_state_bitwise_on_section5(self):
-        duo, olig = self._games()
+        ref, olig = self._games()
         for index, rival in ((0, 1.2), (1, 0.8)):
             prices = (1.0, rival) if index == 0 else (rival, 1.0)
             assert olig.best_response_price(
                 index, prices, price_range=(0.05, 2.0), grid_points=8
-            ) == duo.best_response_price(
+            ) == ref.best_response_price(
                 index, rival, price_range=(0.05, 2.0), grid_points=8
             )
-        duo_state = duo.solve(0.8, 1.2)
-        olig_state = olig.solve((0.8, 1.2))
-        assert olig_state.shares == duo_state.shares
-        assert olig_state.revenues == duo_state.revenues
-        assert olig_state.welfare == duo_state.welfare
-        for k in range(2):
-            assert (
-                olig_state.equilibria[k].subsidies.tobytes()
-                == duo_state.equilibria[k].subsidies.tobytes()
-            )
+        assert_states_bitwise_equal(
+            olig.solve((0.8, 1.2)), ref.solve(0.8, 1.2)
+        )
+
+    def test_price_competition_bitwise_on_section5(self):
+        ref, olig = self._games()
+        old = ref.compete(
+            initial_prices=(0.7, 0.7), tol=1e-2, grid_points=6, xtol=1e-3,
+            price_range=(0.05, 2.0),
+        )
+        new = solve_oligopoly_competition(
+            olig,
+            initial_prices=(0.7, 0.7),
+            price_range=(0.05, 2.0),
+            grid_points=6,
+            xtol=1e-3,
+            policy=IterationPolicy(tol=1e-2),
+        )
+        assert new.iterations == old.iterations
+        assert new.residual == old.residual
+        assert_states_bitwise_equal(new.state, old.state)
+
+
+class TestTwoCarrierCompetition:
+    @pytest.fixture(scope="class")
+    def equilibrium(self):
+        return solve_oligopoly_competition(
+            game_of(2, capacity=0.5),
+            grid_points=16,
+            price_range=(0.05, 2.0),
+            policy=IterationPolicy(tol=1e-4),
+        )
+
+    def test_converges_to_symmetric_prices(self, equilibrium):
+        p_a, p_b = equilibrium.state.prices
+        assert p_a == pytest.approx(p_b, abs=1e-3)
+
+    def test_competition_undercuts_monopoly(self, equilibrium):
+        # A monopolist serving the same total demand at the same capacity
+        # per head prices higher than either carrier.
+        monopoly = optimal_price(
+            Market(providers(), AccessISP(price=1.0, capacity=1.0)),
+            cap=0.3,
+            price_range=(0.05, 2.0),
+        )
+        assert equilibrium.state.prices[0] < monopoly.price
+
+    def test_competition_result_is_a_mutual_best_response(self, equilibrium):
+        br_a = game_of(2, capacity=0.5).best_response_price(
+            0, equilibrium.state.prices, price_range=(0.05, 2.0),
+            grid_points=16,
+        )
+        assert br_a == pytest.approx(equilibrium.state.prices[0], abs=0.02)
+
+    def test_more_switching_means_lower_prices(self):
+        def price_at(switching):
+            return solve_oligopoly_competition(
+                game_of(2, switching=switching, cap=0.0, capacity=0.5),
+                grid_points=14,
+                price_range=(0.05, 2.0),
+                policy=IterationPolicy(tol=1e-3),
+            ).state.prices[0]
+
+        assert price_at(4.0) < price_at(0.5)
 
 
 class TestMonopolyDegeneration:
@@ -368,11 +443,12 @@ class TestSweepTaskKey:
 
 
 class TestWarmStoreReplay:
-    def test_competition_replays_with_zero_solves(self, tmp_path):
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_competition_replays_with_zero_solves(self, tmp_path, n):
         def run(service):
             game = OligopolyGame(
                 cheap_providers(),
-                carrier_isps(3),
+                carrier_isps(n),
                 switching=2.0,
                 cap=0.3,
                 service=service,
@@ -397,7 +473,7 @@ class TestWarmStoreReplay:
         assert second.iterations == first.iterations
         assert second.state.prices == first.state.prices
         assert second.state.revenues == first.state.revenues
-        for k in range(3):
+        for k in range(n):
             assert (
                 second.state.equilibria[k].subsidies.tobytes()
                 == first.state.equilibria[k].subsidies.tobytes()
