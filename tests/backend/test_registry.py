@@ -30,6 +30,11 @@ class TestResolution:
         with pytest.raises(ValueError, match="unknown backend"):
             set_backend("cupy")
 
+    def test_retired_numba_backend_is_rejected(self):
+        assert "numba" not in BACKEND_NAMES
+        with pytest.raises(ValueError, match="unknown backend 'numba'"):
+            set_backend("numba")
+
     def test_unknown_backend_leaves_active_backend_untouched(self):
         before = get_backend()
         with pytest.raises(ValueError):
