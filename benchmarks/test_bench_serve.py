@@ -2,7 +2,7 @@
 
 The serve story's perf claim: once one pass has populated the on-disk
 store, N concurrent clients replaying overlapping scenario sets cost
-**zero solves** — every request is answered from the sharded store tier —
+**zero solves** — every request is answered from the on-disk store tier —
 and the daemon's throughput is bounded by HTTP + JSON, not equilibrium
 math. ``BENCH_serve.json`` records both phases:
 

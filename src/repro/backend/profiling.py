@@ -5,7 +5,8 @@ fused kernels always fill a two-slot stats array); aggregation into the
 module counters only happens when profiling is enabled, so the disabled
 cost is a single branch per batch call. Enable with
 :func:`enable` (the runner's ``--profile`` flag does this) and read a
-snapshot with :func:`snapshot`.
+snapshot with :func:`snapshot`. Pool workers count in their own process
+and ship their deltas back with each result; :func:`merge` folds them in.
 
 Counters
 --------
@@ -31,6 +32,7 @@ __all__ = [
     "disable",
     "reset",
     "snapshot",
+    "merge",
     "profiled",
     "record_kernel",
     "record_lockstep",
@@ -70,6 +72,12 @@ def reset() -> None:
 def snapshot() -> dict:
     """A copy of the current counter values."""
     return dict(_counters)
+
+
+def merge(delta: dict) -> None:
+    """Fold another process's counter deltas in (a pool worker's)."""
+    for key, value in delta.items():
+        _counters[key] += value
 
 
 @contextmanager

@@ -8,15 +8,21 @@ that cache dir, keyed by campaign digest:
     One row per registered campaign: digest (primary key), campaign id,
     title, the full canonical spec JSON, and the expanded row count.
 ``rows``
-    One row per computed campaign row, ``(campaign, digest)`` primary
-    key — the resume manifest. A rerun reads ``existing_digests`` and
-    computes only the complement.
+    One row per computed campaign row: an integer ``id`` plus a unique
+    ``(campaign, digest)`` pair — the resume manifest. A rerun reads
+    ``existing_digests`` and computes only the complement.
 ``metrics``
-    The columnar payload: ``(campaign, digest, metric) -> value``. Long
-    and narrow rather than wide, so different sweep kinds (grid rows
+    The columnar payload: ``(row, metric) -> value``, keyed by the row's
+    integer id (``WITHOUT ROWID``), so no digest is repeated per value.
+    Long and narrow rather than wide, so different sweep kinds (grid rows
     emit welfare/revenue/kkt, dynamics rows emit survival fields) share
     one schema and ``metric(name)`` reads one column across a campaign
     without touching the rest.
+
+The schema version is ``PRAGMA user_version`` (:data:`SCHEMA_VERSION`).
+A file written with an older schema is refused with a
+:class:`~repro.exceptions.ModelError` naming it; delete it and rerun —
+the rows resolve from the solve store without solving.
 
 Append is transactional: a row and all of its metrics commit atomically
 (``BEGIN IMMEDIATE`` ... ``COMMIT``), so a SIGKILL mid-campaign leaves
@@ -40,7 +46,7 @@ import numpy as np
 
 from repro.exceptions import ModelError
 
-__all__ = ["CampaignWarehouse", "SUMMARY_FIELDS"]
+__all__ = ["CampaignWarehouse", "SCHEMA_VERSION", "SUMMARY_FIELDS"]
 
 #: Column order of one summary row (and of ``summary_csv`` output).
 SUMMARY_FIELDS = (
@@ -54,15 +60,19 @@ SUMMARY_FIELDS = (
     "max",
 )
 
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS campaigns (
+#: ``PRAGMA user_version`` of the current schema.
+SCHEMA_VERSION = 2
+
+_SCHEMA = (
+    """CREATE TABLE campaigns (
     campaign    TEXT PRIMARY KEY,
     campaign_id TEXT NOT NULL,
     title       TEXT NOT NULL,
     spec        TEXT NOT NULL,
     total_rows  INTEGER NOT NULL
-);
-CREATE TABLE IF NOT EXISTS rows (
+)""",
+    """CREATE TABLE rows (
+    id              INTEGER PRIMARY KEY,
     campaign        TEXT NOT NULL,
     digest          TEXT NOT NULL,
     row_index       INTEGER NOT NULL,
@@ -70,16 +80,16 @@ CREATE TABLE IF NOT EXISTS rows (
     scenario_id     TEXT NOT NULL,
     scenario_digest TEXT NOT NULL,
     params          TEXT NOT NULL,
-    PRIMARY KEY (campaign, digest)
-);
-CREATE TABLE IF NOT EXISTS metrics (
-    campaign TEXT NOT NULL,
-    digest   TEXT NOT NULL,
-    metric   TEXT NOT NULL,
-    value    REAL,
-    PRIMARY KEY (campaign, digest, metric)
-);
-"""
+    UNIQUE (campaign, digest)
+)""",
+    """CREATE TABLE metrics (
+    row    INTEGER NOT NULL,
+    metric TEXT NOT NULL,
+    value  REAL,
+    PRIMARY KEY (row, metric)
+) WITHOUT ROWID""",
+    f"PRAGMA user_version = {SCHEMA_VERSION}",
+)
 
 
 def _to_value(value: Any) -> float | None:
@@ -115,8 +125,34 @@ class CampaignWarehouse:
         # Writers from a killed-and-resumed run may overlap briefly;
         # block instead of raising "database is locked".
         self._conn.execute("PRAGMA busy_timeout = 30000")
-        self._conn.executescript(_SCHEMA)
-        self._conn.commit()
+        try:
+            self._create_or_check_schema()
+        except BaseException:
+            self._conn.close()
+            raise
+
+    def _create_or_check_schema(self) -> None:
+        """Create the schema in an empty file; refuse any other version."""
+        self._conn.execute("BEGIN IMMEDIATE")
+        try:
+            (version,) = self._conn.execute("PRAGMA user_version").fetchone()
+            (tables,) = self._conn.execute(
+                "SELECT COUNT(*) FROM sqlite_master"
+            ).fetchone()
+            if version == 0 and tables == 0:
+                for statement in _SCHEMA:
+                    self._conn.execute(statement)
+            elif version != SCHEMA_VERSION:
+                raise ModelError(
+                    f"campaign warehouse {self._path} has schema version "
+                    f"{version}, this program reads version "
+                    f"{SCHEMA_VERSION}; delete the file and rerun the "
+                    "campaign (its rows resolve from the solve store)"
+                )
+            self._conn.execute("COMMIT")
+        except BaseException:
+            self._conn.execute("ROLLBACK")
+            raise
 
     # ------------------------------------------------------------------
     @property
@@ -182,7 +218,7 @@ class CampaignWarehouse:
             )
         try:
             self._conn.execute("BEGIN IMMEDIATE")
-            self._conn.execute(
+            row_id = self._conn.execute(
                 "INSERT INTO rows (campaign, digest, row_index, seed, "
                 "scenario_id, scenario_digest, params) "
                 "VALUES (?, ?, ?, ?, ?, ?, ?)",
@@ -197,12 +233,11 @@ class CampaignWarehouse:
                         dict(params), sort_keys=True, separators=(",", ":")
                     ),
                 ),
-            )
+            ).lastrowid
             self._conn.executemany(
-                "INSERT INTO metrics (campaign, digest, metric, value) "
-                "VALUES (?, ?, ?, ?)",
+                "INSERT INTO metrics (row, metric, value) VALUES (?, ?, ?)",
                 [
-                    (campaign, digest, name, _to_value(metrics[name]))
+                    (row_id, name, _to_value(metrics[name]))
                     for name in sorted(metrics)
                 ],
             )
@@ -253,8 +288,9 @@ class CampaignWarehouse:
 
     def metric_names(self, campaign: str) -> tuple[str, ...]:
         cursor = self._conn.execute(
-            "SELECT DISTINCT metric FROM metrics WHERE campaign = ? "
-            "ORDER BY metric",
+            "SELECT DISTINCT m.metric FROM metrics m "
+            "JOIN rows r ON r.id = m.row WHERE r.campaign = ? "
+            "ORDER BY m.metric",
             (campaign,),
         )
         return tuple(row[0] for row in cursor)
@@ -270,9 +306,8 @@ class CampaignWarehouse:
             return []
         cursor = self._conn.execute(
             "SELECT r.digest, COUNT(m.metric) FROM rows r "
-            "LEFT JOIN metrics m "
-            "ON m.campaign = r.campaign AND m.digest = r.digest "
-            "WHERE r.campaign = ? GROUP BY r.digest",
+            "LEFT JOIN metrics m ON m.row = r.id "
+            "WHERE r.campaign = ? GROUP BY r.id",
             (campaign,),
         )
         return sorted(
@@ -300,7 +335,8 @@ class CampaignWarehouse:
         ]
         by_digest = {record["digest"]: record for record in records}
         cursor = self._conn.execute(
-            "SELECT digest, metric, value FROM metrics WHERE campaign = ?",
+            "SELECT r.digest, m.metric, m.value FROM metrics m "
+            "JOIN rows r ON r.id = m.row WHERE r.campaign = ?",
             (campaign,),
         )
         for digest, metric, value in cursor:
@@ -312,9 +348,8 @@ class CampaignWarehouse:
     def metric(self, campaign: str, name: str) -> np.ndarray:
         """One metric across the campaign, ordered by row index."""
         cursor = self._conn.execute(
-            "SELECT m.value FROM metrics m JOIN rows r "
-            "ON r.campaign = m.campaign AND r.digest = m.digest "
-            "WHERE m.campaign = ? AND m.metric = ? ORDER BY r.row_index",
+            "SELECT m.value FROM metrics m JOIN rows r ON r.id = m.row "
+            "WHERE r.campaign = ? AND m.metric = ? ORDER BY r.row_index",
             (campaign, name),
         )
         return np.array(

@@ -7,7 +7,7 @@ grids, oligopoly best-response sweeps, continuation refinements) resolved by
 a :class:`SolveService` over an optional process pool — and the
 *memoization* of every keyed result through two tiers: the in-process
 :class:`SolveCache` and the persistent, content-addressed
-:class:`SolveStore` (npz+json artifacts under ``$REPRO_CACHE_DIR``).
+:class:`SolveStore` (one sqlite file under ``$REPRO_CACHE_DIR``).
 Sequential, pooled and cache-fed schedules are bitwise interchangeable, so
 ``workers`` and the cache tiers are purely throughput knobs.
 """

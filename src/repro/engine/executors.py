@@ -38,7 +38,7 @@ import threading
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Any, Callable, Iterable, Tuple
 
-from repro.backend import get_backend, set_backend, warm_kernels
+from repro.backend import get_backend, profiling, set_backend, warm_kernels
 
 __all__ = [
     "EXECUTOR_NAMES",
@@ -101,15 +101,41 @@ def _pool_init(backend_name: str) -> None:
     warm_kernels()
 
 
-def _run_one(task) -> Any:
+def _call(task) -> Any:
     """Execute one task (mirrors ``service.run_task``; kept here so the
     pool pickles an executor-layer callable without a circular import)."""
     return task.fn(*task.args, **dict(task.kwargs))
 
 
-def _run_chunk(tasks) -> list:
-    """Execute one chunk of tasks in a single worker round-trip."""
-    return [_run_one(task) for task in tasks]
+def _run_chunk(tasks, profile: bool) -> tuple[list, dict | None]:
+    """Execute tasks in one worker round-trip: ``(values, counter delta)``.
+
+    ``profile`` is the parent's ``profiling.enabled``; the worker counts
+    under the same flag and returns what these tasks added (``None`` when
+    off), since its counters live in another process.
+    """
+    if not profile:
+        profiling.disable()
+        return [_call(task) for task in tasks], None
+    profiling.enable()
+    before = profiling.snapshot()
+    values = [_call(task) for task in tasks]
+    after = profiling.snapshot()
+    return values, {key: after[key] - before[key] for key in after}
+
+
+def _run_one(task, profile: bool) -> tuple[Any, dict | None]:
+    """Execute one task in a worker: ``(value, counter delta)``."""
+    values, delta = _run_chunk([task], profile)
+    return values[0], delta
+
+
+def _merged(outcome: tuple) -> Any:
+    """A worker's result with its counter delta merged into this process."""
+    value, delta = outcome
+    if delta:
+        profiling.merge(delta)
+    return value
 
 
 #: The (index, task) pairs an executor schedules.
@@ -157,7 +183,18 @@ class Executor:
     def _run_inline(self, items, on_result) -> None:
         for index, task in items:
             self.inline_tasks += 1
-            on_result(index, _run_one(task))
+            on_result(index, _call(task))
+
+    def _run_pooled(self, pool, items, on_result) -> None:
+        """One pool task per item, delivered in completion order."""
+        profile = profiling.enabled
+        futures = {
+            pool.submit(_run_one, task, profile): index
+            for index, task in items
+        }
+        self.pooled_tasks += len(items)
+        for future in as_completed(futures):
+            on_result(futures[future], _merged(future.result()))
 
 
 class SerialExecutor(Executor):
@@ -217,11 +254,7 @@ class PoolExecutor(Executor):
         if workers <= 1 or len(items) <= 1:
             self._run_inline(items, on_result)
             return
-        pool = self._ensure_pool(workers)
-        futures = {pool.submit(_run_one, task): index for index, task in items}
-        self.pooled_tasks += len(items)
-        for future in as_completed(futures):
-            on_result(futures[future], future.result())
+        self._run_pooled(self._ensure_pool(workers), items, on_result)
 
     def shutdown(self) -> None:
         """Tear down the pool, cancelling queued (not yet running) tasks.
@@ -294,24 +327,19 @@ class ChunkedExecutor(Executor):
         if len(chunks) <= 1:
             # One chunk would serialize the batch in a single worker;
             # per-task pooling is strictly better.
-            pool = self._ensure_pool(workers)
-            futures = {
-                pool.submit(_run_one, task): index for index, task in items
-            }
-            self.pooled_tasks += len(items)
-            for future in as_completed(futures):
-                on_result(futures[future], future.result())
+            self._run_pooled(self._ensure_pool(workers), items, on_result)
             return
         pool = self._ensure_pool(workers)
+        profile = profiling.enabled
         futures = {
-            pool.submit(_run_chunk, [task for _, task in chunk]): chunk
+            pool.submit(_run_chunk, [t for _, t in chunk], profile): chunk
             for chunk in chunks
         }
         self.chunks += len(chunks)
         self.pooled_tasks += len(items)
         for future in as_completed(futures):
             chunk = futures[future]
-            for (index, _), value in zip(chunk, future.result()):
+            for (index, _), value in zip(chunk, _merged(future.result())):
                 on_result(index, value)
 
     def _ensure_pool(self, workers: int) -> ProcessPoolExecutor:

@@ -53,9 +53,8 @@ second run of the same figures against a warm store performs zero
 equilibrium solves. ``--no-cache`` runs purely in memory, ignoring any
 configured directory. The ``cache`` verb inspects and maintains the
 store: ``cache stats`` / ``cache path`` / ``cache clear`` /
-``cache prune`` (garbage sweep + oldest-first eviction under
-``--max-entries``/``--max-bytes``) / ``cache rebuild-index`` (rescan into
-the derived ``index.json`` catalog).
+``cache prune`` (oldest-write-first eviction under
+``--max-entries``/``--max-bytes``).
 
 The ``serve`` verb runs the long-lived solve daemon — an asyncio
 HTTP/JSON front end over one warm solve service (submit-scenario → job id
@@ -1134,12 +1133,10 @@ def build_cache_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "action",
-        choices=("stats", "path", "clear", "prune", "rebuild-index"),
+        choices=("stats", "path", "clear", "prune"),
         help="stats: entry count and footprint (JSON); path: the store "
-        "directory; clear: remove every stored artifact; prune: sweep "
-        "stray temp files and orphaned artifacts, optionally evicting "
-        "oldest entries past --max-entries/--max-bytes; rebuild-index: "
-        "rescan the entries and rewrite the derived index.json catalog",
+        "directory; clear: remove every stored artifact; prune: evict the "
+        "oldest writes past --max-entries/--max-bytes",
     )
     parser.add_argument(
         "--cache-dir",
@@ -1191,7 +1188,6 @@ def _main_cache(argv: Sequence[str]) -> int:
                 {
                     "path": stats["path"],
                     "entries": stats["entries"],
-                    "shards": stats["shards"],
                     "bytes": stats["bytes"],
                 },
                 indent=2,
@@ -1206,18 +1202,6 @@ def _main_cache(argv: Sequence[str]) -> int:
             print(str(exc), file=sys.stderr)
             return 2
         print(json.dumps({"path": str(store.path), **summary}, indent=2))
-    elif args.action == "rebuild-index":
-        index = store.rebuild_index()
-        print(
-            json.dumps(
-                {
-                    "path": str(store.path),
-                    "index": str(store.index_path),
-                    "entries": len(index["entries"]),
-                },
-                indent=2,
-            )
-        )
     else:
         removed = store.clear()
         noun = "entry" if removed == 1 else "entries"

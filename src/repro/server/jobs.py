@@ -42,6 +42,7 @@ submit/poll/cancel interleavings.
 from __future__ import annotations
 
 import itertools
+import json
 import queue
 import threading
 import time
@@ -127,12 +128,20 @@ class Job:
     scenario_id: str
     state: str = "queued"
     error: str | None = None
-    result: dict | None = None
+    #: The result as compact JSON: a third of the memory of the dict.
+    result_json: bytes | None = field(default=None, repr=False)
     submitted_at: float = field(default_factory=time.time)
     finished_at: float | None = None
     done_event: threading.Event = field(
         default_factory=threading.Event, repr=False, compare=False
     )
+
+    @property
+    def result(self) -> dict | None:
+        """The runner's result dict, decoded afresh on each access."""
+        if self.result_json is None:
+            return None
+        return json.loads(self.result_json)
 
     def describe(self, *, with_result: bool = False) -> dict:
         """The job as a JSON-ready dict (``result`` only on request)."""
@@ -184,8 +193,8 @@ class JobManager:
         self._runner = runner if runner is not None else default_runner
         self._jobs: dict[str, Job] = {}
         self._by_digest: dict[str, str] = {}
-        # Submitted scenarios retained by digest so workers can solve
-        # them; one entry per distinct scenario, not per job.
+        # Submitted scenarios retained by digest until the digest's job
+        # is terminal, so workers can solve them.
         self._scenarios: dict[str, ScenarioSpec] = {}
         self._queue: "queue.Queue[str | None]" = queue.Queue()
         self._lock = threading.Lock()
@@ -272,6 +281,7 @@ class JobManager:
                 job.state = "cancelled"
                 job.finished_at = time.time()
                 self._counters["cancelled"] += 1
+                self._release_scenario(job)
                 job.done_event.set()
             return job
 
@@ -296,15 +306,28 @@ class JobManager:
             self._counters["started"] += 1
             return job
 
+    def _release_scenario(self, job: Job) -> None:
+        """Drop the scenario of a terminal job (caller holds the lock)."""
+        if self._by_digest.get(job.digest) == job.job_id:
+            self._scenarios.pop(job.digest, None)
+
     def _finish(self, job: Job, *, result: dict | None, error: str | None):
+        result_json = None
+        if error is None:
+            try:
+                result_json = json.dumps(result, separators=(",", ":"))
+                result_json = result_json.encode()
+            except (TypeError, ValueError) as exc:
+                error = f"{type(exc).__name__}: {exc}"
         with self._lock:
             if job.state in TERMINAL_STATES:  # sticky, no matter what
                 return
-            job.result = result
+            job.result_json = result_json
             job.error = error
             job.state = "done" if error is None else "failed"
             job.finished_at = time.time()
             self._counters["completed" if error is None else "failed"] += 1
+            self._release_scenario(job)
         job.done_event.set()
 
     def _execute(self, job_id: str) -> bool:
@@ -395,4 +418,5 @@ class JobManager:
                 job.state = "cancelled"
                 job.finished_at = time.time()
                 self._counters["cancelled"] += 1
+                self._release_scenario(job)
                 job.done_event.set()

@@ -70,10 +70,12 @@ class TestLifecycle:
             keep = {row.digest for row in rows[:3]}
             for row in rows[3:]:  # test-only surgery on the manifest
                 wh._conn.execute(
-                    "DELETE FROM rows WHERE digest = ?", (row.digest,)
+                    "DELETE FROM metrics WHERE row = "
+                    "(SELECT id FROM rows WHERE digest = ?)",
+                    (row.digest,),
                 )
                 wh._conn.execute(
-                    "DELETE FROM metrics WHERE digest = ?", (row.digest,)
+                    "DELETE FROM rows WHERE digest = ?", (row.digest,)
                 )
             wh._conn.commit()
             assert wh.existing_digests(spec.digest()) == keep

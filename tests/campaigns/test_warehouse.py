@@ -1,11 +1,18 @@
 """The sqlite warehouse: atomic appends, NaN round-trip, summaries."""
 
 import math
+import sqlite3
+from contextlib import closing
 
 import numpy as np
 import pytest
 
-from repro.campaigns.warehouse import SUMMARY_FIELDS, CampaignWarehouse
+from repro.campaigns.warehouse import (
+    SCHEMA_VERSION,
+    SUMMARY_FIELDS,
+    CampaignWarehouse,
+)
+from repro.exceptions import ModelError
 
 CAMPAIGN = "c" * 64
 
@@ -142,3 +149,45 @@ class TestLifecycle:
         with CampaignWarehouse(path) as wh:
             assert wh.count(CAMPAIGN) == 1
             assert wh.metric_names(CAMPAIGN) == ("welfare",)
+
+    def test_new_file_carries_the_schema_version(self, tmp_path):
+        path = tmp_path / "campaigns.sqlite"
+        CampaignWarehouse(path).close()
+        with closing(sqlite3.connect(path)) as conn:
+            (version,) = conn.execute("PRAGMA user_version").fetchone()
+            columns = [c[1] for c in conn.execute("PRAGMA table_info(metrics)")]
+        assert version == SCHEMA_VERSION == 2
+        # Metrics key on the integer row id: no digest repeated per value.
+        assert columns == ["row", "metric", "value"]
+
+    def test_metrics_of_each_row_stay_with_it(self, warehouse):
+        other = "o" * 64
+        _append(warehouse, "d0", 0, {"welfare": 1.0})
+        _append(warehouse, "d0", 0, {"welfare": 5.0}, campaign=other)
+        _append(warehouse, "d1", 1, {"welfare": 2.0})
+        assert warehouse.metric(CAMPAIGN, "welfare").tolist() == [1.0, 2.0]
+        assert warehouse.metric(other, "welfare").tolist() == [5.0]
+        assert [r["metrics"] for r in warehouse.rows(other)] == [
+            {"welfare": 5.0}
+        ]
+
+    def test_old_schema_file_is_refused(self, tmp_path):
+        path = tmp_path / "campaigns.sqlite"
+        with closing(sqlite3.connect(path)) as conn:
+            conn.execute(
+                "CREATE TABLE metrics (campaign TEXT, digest TEXT, "
+                "metric TEXT, value REAL, "
+                "PRIMARY KEY (campaign, digest, metric))"
+            )
+            conn.commit()
+        with pytest.raises(ModelError, match="delete the file") as info:
+            CampaignWarehouse(path)
+        assert str(path) in str(info.value)
+
+    def test_unknown_schema_version_is_refused(self, tmp_path):
+        path = tmp_path / "campaigns.sqlite"
+        with closing(sqlite3.connect(path)) as conn:
+            conn.execute("PRAGMA user_version = 99")
+            conn.commit()
+        with pytest.raises(ModelError, match="schema version 99"):
+            CampaignWarehouse(path)

@@ -4,7 +4,7 @@
 booting the daemon, the curl API walkthrough, the concurrent replay, the
 SIGTERM shutdown — runs as written. This test extracts the blocks and
 executes them in document order inside one scratch directory, then
-checks the artifacts the page creates: a sharded store, a replay summary
+checks the artifacts the page creates: a populated store, a replay summary
 with ``computed_delta == 0`` and a clean-shutdown log line.
 """
 
@@ -12,8 +12,10 @@ import json
 import os
 import re
 import signal
+import sqlite3
 import subprocess
 import sys
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -86,9 +88,10 @@ def test_walkthrough_executes_in_order(workdir):
         )
 
     # The artifacts the page promises.
-    store = workdir / "solve-store"
-    shards = [p for p in store.iterdir() if p.is_dir() and len(p.name) == 2]
-    assert shards, "the walkthrough's store grew no shard directories"
+    store = workdir / "solve-store" / "store.sqlite"
+    with closing(sqlite3.connect(store)) as conn:
+        (entries,) = conn.execute("SELECT COUNT(*) FROM entries").fetchone()
+    assert entries, "the walkthrough's store holds no entries"
     replay = json.loads((workdir / "replay.json").read_text())
     assert replay["computed_delta"] == 0
     assert replay["failures"] == []

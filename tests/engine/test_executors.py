@@ -15,13 +15,15 @@ The contract under test (see :mod:`repro.engine.executors`):
   dynamics trajectories, under the numpy and compiled backends.
 """
 
+import sqlite3
 import threading
 import time
+from contextlib import closing
 
 import numpy as np
 import pytest
 
-from repro.backend import available_backends, use_backend
+from repro.backend import available_backends, profiling, use_backend
 from repro.competition import (
     IterationPolicy,
     OligopolyGame,
@@ -115,13 +117,13 @@ def small_market():
     )
 
 
-def store_listing(path) -> list[str]:
-    """Every store file as a root-relative path — *file-level* layout,
-    shard directories included, so two listings agreeing means the
-    stores are interchangeable on disk, not merely equal in content."""
-    return sorted(
-        str(p.relative_to(path)) for p in path.rglob("*") if p.is_file()
-    )
+def store_listing(path) -> dict[str, tuple[str, bytes]]:
+    """Every stored entry as ``{digest: (header, payload)}`` — the exact
+    rows, so two listings agreeing means the stores are interchangeable
+    byte for byte, not merely equal in decoded content."""
+    with closing(sqlite3.connect(path / "store.sqlite")) as conn:
+        rows = conn.execute("SELECT digest, header, payload FROM entries")
+        return {digest: (header, payload) for digest, header, payload in rows}
 
 
 class TestDefaultSelection:
@@ -384,6 +386,42 @@ class TestCloseDuringBatch:
         assert [float(v["value"]) for v in values] == [3.0 * x for x in xs]
         assert rerun.counters.store_hits == survivors
         assert rerun.counters.computed == len(xs) - survivors
+
+
+@pytest.mark.skipif(
+    "compiled" not in BACKENDS, reason="needs the cext kernels"
+)
+class TestPoolProfiling:
+    """Kernel counters counted in pool workers reach the parent."""
+
+    @pytest.mark.parametrize("name", ["pool", "chunked"])
+    def test_pool_counters_equal_serial(self, name):
+        market = small_market()
+        prices = np.round(np.linspace(0.1, 1.0, 4), 10)
+        caps = np.array([0.0, 0.5, 1.0])
+        totals, pooled = {}, 0
+        try:
+            with use_backend("compiled"):
+                for executor in ("serial", name):
+                    service = SolveService(
+                        cache=SolveCache(), workers=2, executor=executor
+                    )
+                    profiling.reset()
+                    try:
+                        with profiling.profiled():
+                            GridEngine(
+                                workers=2, cache=SolveCache(), service=service
+                            ).solve_grid(market, prices, caps)
+                        if executor == name:
+                            pooled = service.resolve_executor().pooled_tasks
+                    finally:
+                        service.close()
+                    totals[executor] = profiling.snapshot()
+        finally:
+            profiling.reset()
+        assert pooled == caps.size
+        for counter in ("kernel_calls", "residual_evals"):
+            assert totals[name][counter] == totals["serial"][counter] > 0
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

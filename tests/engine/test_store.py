@@ -1,6 +1,13 @@
 """Unit tests for the persistent content-addressed solve store."""
 
+import gc
 import json
+import os
+import sqlite3
+import sys
+import threading
+from contextlib import closing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,19 +33,42 @@ def solved_row():
     )
 
 
-def entry_files(root):
-    """(manifests, arrays) across both the sharded and flat layouts."""
-    manifests = sorted(
-        p for p in root.rglob("*.json") if len(p.stem) == 64
-    )
-    arrays = sorted(p for p in root.rglob("*.npz") if len(p.stem) == 64)
-    return manifests, arrays
+def sole_row(root):
+    """``(digest, header dict, payload)`` of the store's only entry."""
+    with closing(sqlite3.connect(root / "store.sqlite")) as conn:
+        rows = conn.execute("SELECT digest, header, payload FROM entries")
+        rows = rows.fetchall()
+    assert len(rows) == 1
+    digest, header, payload = rows[0]
+    return digest, json.loads(header), payload
 
 
-def sole_manifest(root):
-    manifests, _ = entry_files(root)
-    assert len(manifests) == 1
-    return manifests[0]
+def rewrite_row(root, *, header=None, payload=None):
+    """Overwrite the only entry's header (dict or raw text) and/or payload."""
+    digest, old_header, old_payload = sole_row(root)
+    if header is None:
+        header = old_header
+    text = header if isinstance(header, str) else json.dumps(header)
+    with closing(sqlite3.connect(root / "store.sqlite")) as conn:
+        conn.execute(
+            "UPDATE entries SET header = ?, payload = ? WHERE digest = ?",
+            (text, old_payload if payload is None else payload, digest),
+        )
+        conn.commit()
+
+
+def open_store_files(root):
+    """This process's open descriptors on the store's database files."""
+    fd_dir = Path("/proc/self/fd")
+    found = []
+    for fd in os.listdir(fd_dir):
+        try:
+            target = os.readlink(fd_dir / fd)
+        except OSError:
+            continue
+        if target.startswith(str(root / "store.sqlite")):
+            found.append(target)
+    return found
 
 
 def assert_rows_bitwise_equal(a, b):
@@ -128,6 +158,23 @@ class TestRoundTrip:
         for name in value:
             assert loaded[name].tobytes() == value[name].tobytes()
             assert loaded[name].dtype == value[name].dtype
+            assert loaded[name].shape == value[name].shape
+            assert loaded[name].flags.writeable
+
+    def test_mixed_dtypes_round_trip_aligned(self, tmp_path):
+        store = SolveStore(tmp_path)
+        value = {
+            "a": np.array([True, False, True]),
+            "b": np.arange(5, dtype=np.int32),
+            "c": np.linspace(0.0, 1.0, 4).reshape(2, 2),
+            "d": np.arange(3.0)[::2],  # not contiguous
+        }
+        store.put(("mixed",), value, codec="ndarrays")
+        loaded = store.get(("mixed",))
+        for name in value:
+            assert np.array_equal(loaded[name], value[name])
+            assert loaded[name].dtype == value[name].dtype
+            assert loaded[name].flags.aligned
 
     def test_json_round_trip_exact_floats(self, tmp_path):
         store = SolveStore(tmp_path)
@@ -153,55 +200,94 @@ class TestRoundTrip:
 class TestCorruptionTolerance:
     """Bad entry -> miss, never crash; recompute-and-put repairs."""
 
-    def _entry_paths(self, tmp_path):
-        manifests, arrays = entry_files(tmp_path)
-        assert len(manifests) == 1 and len(arrays) == 1
-        return manifests[0], arrays[0]
-
-    def test_truncated_npz_is_a_miss_then_repairable(self, tmp_path):
+    def test_truncated_payload_is_a_miss_then_repairable(self, tmp_path):
         store = SolveStore(tmp_path)
         row = solved_row()
         key = ("row", 1)
         store.put(key, row, codec="grid-row")
-        _, npz = self._entry_paths(tmp_path)
-        npz.write_bytes(npz.read_bytes()[:20])
+        _, _, payload = sole_row(tmp_path)
+        rewrite_row(tmp_path, payload=payload[:20])
         assert store.get(key) is None
         assert store.misses == 1
         # The caller recomputes and overwrites; the entry works again.
         assert store.put(key, row, codec="grid-row")
         assert_rows_bitwise_equal(row, store.get(key))
 
-    def test_garbage_manifest_is_a_miss(self, tmp_path):
+    def test_garbage_header_is_a_miss(self, tmp_path):
         store = SolveStore(tmp_path)
         store.put(("k",), solved_row(), codec="grid-row")
-        manifest, _ = self._entry_paths(tmp_path)
-        manifest.write_text("{not json at all")
+        rewrite_row(tmp_path, header="{not json at all")
         assert store.get(("k",)) is None
 
-    def test_manifest_without_arrays_is_a_miss(self, tmp_path):
+    def test_header_without_layout_is_a_miss(self, tmp_path):
         store = SolveStore(tmp_path)
         store.put(("k",), solved_row(), codec="grid-row")
-        _, npz = self._entry_paths(tmp_path)
-        npz.unlink()
+        _, header, _ = sole_row(tmp_path)
+        del header["layout"]
+        rewrite_row(tmp_path, header=header)
         assert store.get(("k",)) is None
 
     def test_version_skew_is_a_miss(self, tmp_path):
         store = SolveStore(tmp_path)
         store.put(("k",), {"v": 1}, codec="json")
-        manifest = sole_manifest(tmp_path)
-        payload = json.loads(manifest.read_text())
-        payload["version"] = 999
-        manifest.write_text(json.dumps(payload))
+        _, header, _ = sole_row(tmp_path)
+        header["version"] = 999
+        rewrite_row(tmp_path, header=header)
         assert store.get(("k",)) is None
 
-    def test_unknown_codec_in_manifest_is_a_miss(self, tmp_path):
+    def test_unknown_codec_in_header_is_a_miss(self, tmp_path):
         store = SolveStore(tmp_path)
         store.put(("k",), {"v": 1}, codec="json")
-        manifest = sole_manifest(tmp_path)
-        payload = json.loads(manifest.read_text())
-        payload["codec"] = "no-such-codec"
-        manifest.write_text(json.dumps(payload))
+        _, header, _ = sole_row(tmp_path)
+        header["codec"] = "no-such-codec"
+        rewrite_row(tmp_path, header=header)
         assert store.get(("k",)) is None
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_grid_row_count_unlike_its_arrays_is_a_miss(self, tmp_path, delta):
+        # A row is never decoded shorter or longer than what was stored.
+        store = SolveStore(tmp_path)
+        store.put(("k",), solved_row(), codec="grid-row")
+        _, header, _ = sole_row(tmp_path)
+        header["meta"]["count"] += delta
+        header["meta"]["methods"] = ["vi"] * header["meta"]["count"]
+        rewrite_row(tmp_path, header=header)
+        assert store.get(("k",)) is None
+
+    def test_object_dtype_in_layout_is_a_miss(self, tmp_path):
+        # A header may not ask for Python objects: reading an entry must
+        # never unpickle anything, whatever the file says.
+        store = SolveStore(tmp_path)
+        store.put(("k",), {"v": np.arange(4.0)}, codec="ndarrays")
+        _, header, _ = sole_row(tmp_path)
+        header["layout"][0][1] = "|O"
+        rewrite_row(tmp_path, header=header)
+        assert store.get(("k",)) is None
+        assert store.misses == 1
+
+    def test_entries_of_the_file_layout_are_misses(self, tmp_path):
+        # Older stores kept <digest[:2]>/<digest>.{npz,json} pairs; the
+        # sqlite store ignores them rather than migrating them.
+        key = ("legacy", 1)
+        digest = key_digest(key)
+        shard = tmp_path / digest[:2]
+        shard.mkdir(parents=True)
+        np.savez(shard / f"{digest}.npz", **{"v.x": np.arange(3.0)})
+        (shard / f"{digest}.json").write_text(
+            json.dumps(
+                {
+                    "version": 1,
+                    "codec": "ndarrays",
+                    "meta": {"names": ["x"]},
+                    "arrays": ["v.x"],
+                }
+            )
+        )
+        store = SolveStore(tmp_path)
+        assert store.get(key) is None
+        assert len(store) == 0
+        assert store.put(key, {"x": np.arange(3.0)}, codec="ndarrays")
+        assert store.get(key)["x"].tolist() == [0.0, 1.0, 2.0]
 
     def test_unwritable_root_degrades_to_no_store(self, tmp_path):
         blocker = tmp_path / "blocker"
@@ -210,6 +296,32 @@ class TestCorruptionTolerance:
         assert store.put(("k",), {"v": 1}, codec="json") is False
         assert store.write_errors == 1
         assert store.get(("k",)) is None  # still just a miss
+
+
+class TestNotADatabase:
+    """A store file that is not sqlite: misses, failed writes, clear heals."""
+
+    @pytest.fixture
+    def store(self, tmp_path):
+        (tmp_path / "store.sqlite").write_bytes(b"not a database " * 512)
+        return SolveStore(tmp_path)
+
+    def test_get_misses_and_len_is_zero(self, store):
+        assert store.get(("k",)) is None
+        assert store.misses == 1
+        assert len(store) == 0
+        assert store.stats()["entries"] == 0
+
+    def test_put_returns_false_and_counts_the_error(self, store):
+        assert store.put(("k",), {"v": 1}, codec="json") is False
+        assert store.write_errors == 1 and store.writes == 0
+
+    def test_clear_recovers(self, store, tmp_path):
+        assert store.clear() == 0
+        assert not (tmp_path / "store.sqlite").exists()
+        assert store.put(("k",), {"v": 1}, codec="json")
+        assert store.get(("k",)) == {"v": 1}
+        assert len(store) == 1
 
 
 class TestMaintenance:
@@ -256,153 +368,92 @@ class TestMaintenance:
     def test_codec_registry_is_closed(self):
         assert set(CODECS) == {"grid-row", "ndarrays", "json"}
 
-
-def flat_put(root, key, value, *, codec):
-    """Write an entry in the pre-sharding flat layout (legacy stores)."""
-    staging = SolveStore(root / "_staging")
-    assert staging.put(key, value, codec=codec)
-    digest = key_digest(key)
-    for suffix in (".npz", ".json"):
-        sharded = root / "_staging" / digest[:2] / f"{digest}{suffix}"
-        if sharded.is_file():
-            sharded.rename(root / f"{digest}{suffix}")
-    return digest
-
-
-class TestShardedLayout:
-    def test_entries_land_in_first_byte_shards(self, tmp_path):
+    def test_put_object_dtype_raises(self, tmp_path):
         store = SolveStore(tmp_path)
-        key = ("sharded", 1)
-        store.put(key, {"v": 1}, codec="json")
-        digest = key_digest(key)
-        assert (tmp_path / digest[:2] / f"{digest}.json").is_file()
-        assert not (tmp_path / f"{digest}.json").exists()
+        with pytest.raises(TypeError):
+            store.put(("k",), {"v": np.array([None, 1])}, codec="ndarrays")
+        assert store.write_errors == 0
 
-    def test_flat_legacy_entry_reads_and_migrates(self, tmp_path):
-        key = ("legacy", 1)
-        row = solved_row()
-        digest = flat_put(tmp_path, key, row, codec="grid-row")
+    def test_threads_share_one_store(self, tmp_path):
+        # The serve daemon reads and writes one store from many threads;
+        # each thread gets its own connection.
         store = SolveStore(tmp_path)
-        loaded = store.get(key)
-        assert_rows_bitwise_equal(row, loaded)
-        assert store.hits == 1
-        # The hit migrated the entry into its shard.
-        assert (tmp_path / digest[:2] / f"{digest}.json").is_file()
-        assert (tmp_path / digest[:2] / f"{digest}.npz").is_file()
-        assert not (tmp_path / f"{digest}.json").exists()
-        assert not (tmp_path / f"{digest}.npz").exists()
-        # And it still reads after migration.
-        assert_rows_bitwise_equal(row, store.get(key))
+        errors = []
 
-    def test_put_shadows_flat_predecessor(self, tmp_path):
-        key = ("shadow", 1)
-        digest = flat_put(tmp_path, key, {"v": "old"}, codec="json")
-        store = SolveStore(tmp_path)
-        store.put(key, {"v": "new"}, codec="json")
-        assert store.get(key)["v"] == "new"
-        assert not (tmp_path / f"{digest}.json").exists()
-        assert len(store) == 1
+        def work(t):
+            try:
+                for i in range(20):
+                    key = (t, i)
+                    assert store.put(key, {"v": [t, i]}, codec="json")
+                    assert store.get(key) == {"v": [t, i]}
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
 
-    def test_len_clear_and_stats_span_both_layouts(self, tmp_path):
-        flat_put(tmp_path, ("flat",), {"v": 1}, codec="json")
-        store = SolveStore(tmp_path)
-        store.put(("sharded",), {"v": 2}, codec="json")
-        assert len(store) == 2
-        stats = store.stats()
-        assert stats["entries"] == 2
-        assert stats["flat_entries"] == 1
-        assert stats["shards"] >= 1
-        assert store.clear() == 2
-        assert len(store) == 0
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(store) == 80
+        assert store.writes == 80 and store.hits == 80
 
-    def test_corrupt_sharded_entry_is_a_miss(self, tmp_path):
-        store = SolveStore(tmp_path)
-        key = ("corrupt-shard", 1)
-        store.put(key, solved_row(), codec="grid-row")
-        digest = key_digest(key)
-        npz = tmp_path / digest[:2] / f"{digest}.npz"
-        npz.write_bytes(npz.read_bytes()[:16])
-        assert store.get(key) is None
-        # Recompute-and-put repairs in place.
-        assert store.put(key, solved_row(), codec="grid-row")
-        assert store.get(key) is not None
-
-
-class TestIndex:
-    def test_rebuild_index_matches_directory_scan(self, tmp_path):
-        store = SolveStore(tmp_path)
-        store.put(("a",), {"v": 1}, codec="json")
-        store.put(("b",), solved_row(), codec="grid-row")
-        flat_put(tmp_path, ("c",), {"v": 3}, codec="json")
-        index = store.rebuild_index()
-        assert set(index["entries"]) == set(store.scan_entries())
-        assert len(index["entries"]) == 3
-        for record in index["entries"].values():
-            assert record["codec"] in CODECS
-            assert record["bytes"] > 0
-        # The written catalog round-trips.
-        assert store.load_index() == index
-
-    def test_load_index_absent_or_garbage_is_none(self, tmp_path):
-        store = SolveStore(tmp_path)
-        assert store.load_index() is None
-        tmp_path.mkdir(exist_ok=True)
-        store.index_path.write_text("{broken")
-        assert store.load_index() is None
-
-    def test_index_never_shadows_entries(self, tmp_path):
-        # index.json is not digest-named, so clear/len ignore it as an
-        # entry but clear still removes the stale catalog.
-        store = SolveStore(tmp_path)
-        store.put(("a",), {"v": 1}, codec="json")
-        store.rebuild_index()
-        assert len(store) == 1
-        store.clear()
-        assert not store.index_path.exists()
+    @pytest.mark.skipif(
+        not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd"
+    )
+    def test_dropped_stores_release_their_connections(self, tmp_path):
+        SolveStore(tmp_path).put(("k",), {"v": 1}, codec="json")
+        gc.collect()
+        baseline = len(open_store_files(tmp_path))
+        for _ in range(30):
+            assert SolveStore(tmp_path).get(("k",)) == {"v": 1}
+        gc.collect()
+        assert len(open_store_files(tmp_path)) <= baseline
 
 
 class TestPrune:
-    def test_prune_removes_orphans_and_temps(self, tmp_path):
-        store = SolveStore(tmp_path)
-        store.put(("keep",), solved_row(), codec="grid-row")
-        digest = key_digest(("keep",))
-        shard = tmp_path / digest[:2]
-        # An orphan artifact: a writer died before the manifest rename.
-        (shard / ("f" * 64 + ".npz")).write_bytes(b"partial")
-        (shard / "tmpabc123.tmp").write_bytes(b"scratch")
-        summary = store.prune()
-        assert summary == {"entries": 0, "orphans": 1, "temp_files": 1}
-        assert store.get(("keep",)) is not None
-
     def test_prune_max_entries_evicts_oldest(self, tmp_path):
-        import os as _os
-
         store = SolveStore(tmp_path)
         for i in range(4):
-            key = (f"k{i}",)
-            store.put(key, {"v": i}, codec="json")
-            manifest = tmp_path / key_digest(key)[:2] / (
-                key_digest(key) + ".json"
-            )
-            _os.utime(manifest, (1000.0 + i, 1000.0 + i))
-        summary = store.prune(max_entries=2)
-        assert summary["entries"] == 2
+            store.put((f"k{i}",), {"v": i}, codec="json")
+        # A rewrite makes k0 the newest write.
+        store.put(("k0",), {"v": 0}, codec="json")
+        assert store.prune(max_entries=2) == {"entries": 2}
         assert len(store) == 2
-        assert store.get(("k0",)) is None and store.get(("k1",)) is None
-        assert store.get(("k2",)) is not None
-        assert store.get(("k3",)) is not None
+        assert store.get(("k1",)) is None and store.get(("k2",)) is None
+        assert store.get(("k3",)) == {"v": 3}
+        assert store.get(("k0",)) == {"v": 0}
 
     def test_prune_max_bytes(self, tmp_path):
         store = SolveStore(tmp_path)
         for i in range(3):
             store.put((f"k{i}",), {"v": "x" * 64}, codec="json")
-        assert store.prune(max_bytes=0)["entries"] == 3
+        entry_bytes = store.stats()["bytes"] // 3
+        # Room for one entry and a bit: the two oldest go.
+        assert store.prune(max_bytes=entry_bytes + 10)["entries"] == 2
+        assert store.get(("k2",)) is not None
+        assert store.prune(max_bytes=0)["entries"] == 1
         assert len(store) == 0
+
+    def test_without_bounds_evicts_nothing(self, tmp_path):
+        store = SolveStore(tmp_path)
+        store.put(("k",), {"v": 1}, codec="json")
+        assert store.prune() == {"entries": 0}
+        assert len(store) == 1
 
     def test_prune_rejects_negative_bounds(self, tmp_path):
         with pytest.raises(ValueError):
             SolveStore(tmp_path).prune(max_entries=-1)
+        with pytest.raises(ValueError):
+            SolveStore(tmp_path).prune(max_bytes=-1)
 
     def test_prune_missing_directory(self, tmp_path):
-        summary = SolveStore(tmp_path / "never").prune(max_entries=1)
-        assert summary == {"entries": 0, "orphans": 0, "temp_files": 0}
+        root = tmp_path / "never"
+        assert SolveStore(root).prune(max_entries=1) == {"entries": 0}
+        assert not root.exists()

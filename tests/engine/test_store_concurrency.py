@@ -3,16 +3,16 @@
 The serve daemon's load story rests on two claims about
 :class:`~repro.engine.store.SolveStore`:
 
-* **Many concurrent writers are safe.** N processes hammering one store
-  with overlapping key sets leave no torn entries (every committed
-  manifest decodes), no duplicates (one entry per distinct key), and a
-  directory tree the index rebuild reproduces exactly — after which a
-  warm replay of the whole key set performs zero solves.
+* **Many concurrent writers are safe.** N processes hammering one
+  ``store.sqlite`` with overlapping key sets leave no torn entries (every
+  committed row decodes) and no duplicates (one row per distinct key) —
+  after which a warm replay of the whole key set performs zero solves.
 * **Any corruption is a miss, never a crash.** The parametrized matrix
-  covers truncated artifacts, mismatched sidecars, version skew, unknown
-  codecs and a writer genuinely killed between the artifact and its
-  sidecar; every case must miss-and-recompute on the sharded layout,
-  under the numpy and compiled backends alike.
+  covers truncated payloads, layouts promising arrays the payload lacks,
+  version skew, unknown codecs, garbage headers, empty payloads and object
+  dtypes, plus a writer genuinely killed inside its open transaction;
+  every case must miss-and-recompute, under the numpy and compiled
+  backends alike.
 
 Heavy variants (more processes, more keys) are marked ``slow`` and run
 only when ``$REPRO_SLOW_TESTS`` is set (see ``tests/conftest.py``).
@@ -21,6 +21,8 @@ only when ``$REPRO_SLOW_TESTS`` is set (see ``tests/conftest.py``).
 import json
 import multiprocessing
 import os
+import sqlite3
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -71,23 +73,17 @@ def _writer(root: str, indices: list[int]) -> None:
 
 
 def _crashing_writer(root: str, i: int) -> None:
-    """A writer killed between the artifact and its sidecar.
+    """A writer killed inside its open transaction.
 
-    Patches the store's atomic-write helper so the manifest rename —
-    the commit point — never happens: the process dies with the ``.npz``
-    on disk and no ``.json``, the exact footprint of a mid-write crash.
+    Opens a transaction on the store's own connection, so the ``put``'s
+    ``INSERT`` runs inside it and is never committed, then dies: the exact
+    footprint of a crash between the write and its commit.
     """
     store = SolveStore(root)
-    original = store._write_atomic
-
-    def dying(directory, path, write):
-        if str(path).endswith(".json"):
-            os._exit(1)
-        return original(directory, path, write)
-
-    store._write_atomic = dying
-    store.put(_key_for(i), _value_for(i), codec="ndarrays")
-    os._exit(0)  # unreachable
+    store._connection(create=True).execute("BEGIN IMMEDIATE")
+    if not store.put(_key_for(i), _value_for(i), codec="ndarrays"):
+        os._exit(2)  # the write itself failed: not the case under test
+    os._exit(1)
 
 
 def _run_writers(root, slices):
@@ -113,8 +109,13 @@ def _overlapping_slices(keys: int, writers: int) -> list[list[int]]:
     ][:writers]
 
 
+def _stored_digests(root) -> list[str]:
+    with closing(sqlite3.connect(root / "store.sqlite")) as conn:
+        return [row[0] for row in conn.execute("SELECT digest FROM entries")]
+
+
 def _assert_settled(root, keys: int) -> None:
-    """No torn entries, no duplicates, index == scan, replay == 0 solves."""
+    """No torn entries, no duplicates, exactly the expected digests."""
     store = SolveStore(root)
     # Every key decodes to exactly the content any single writer produced.
     for i in range(keys):
@@ -126,12 +127,10 @@ def _assert_settled(root, keys: int) -> None:
     # One committed entry per key — concurrent writers never duplicated.
     assert len(store) == keys
     assert store.stats()["entries"] == keys
-    # The rebuilt index is exactly the directory scan.
-    index = store.rebuild_index()
-    scan = store.scan_entries()
-    assert index["entries"] == scan
-    assert set(scan) == {key_digest(_key_for(i)) for i in range(keys)}
-    assert store.load_index() == index
+    digests = _stored_digests(root)
+    assert sorted(digests) == sorted(
+        key_digest(_key_for(i)) for i in range(keys)
+    )
 
 
 class TestConcurrentWriters:
@@ -172,49 +171,51 @@ class TestConcurrentWriters:
         _assert_settled(tmp_path, keys)
 
 
-def _corrupt_truncate_npz(root, digest):
-    path = root / digest[:2] / f"{digest}.npz"
-    path.write_bytes(path.read_bytes()[:24])
+def _rewrite(root, digest, *, header=None, payload=None):
+    """Rewrite one entry's header (an edit of the parsed JSON, or raw
+    text) and/or payload (a function of the stored bytes)."""
+    with closing(sqlite3.connect(root / "store.sqlite")) as conn:
+        text, blob = conn.execute(
+            "SELECT header, payload FROM entries WHERE digest = ?", (digest,)
+        ).fetchone()
+        if isinstance(header, str):
+            text = header
+        elif header is not None:
+            parsed = json.loads(text)
+            header(parsed)
+            text = json.dumps(parsed)
+        if payload is not None:
+            blob = payload(blob)
+        conn.execute(
+            "UPDATE entries SET header = ?, payload = ? WHERE digest = ?",
+            (text, blob, digest),
+        )
+        conn.commit()
 
 
-def _corrupt_mismatched_sidecar(root, digest):
-    # The manifest promises arrays the artifact does not hold.
-    path = root / digest[:2] / f"{digest}.json"
-    manifest = json.loads(path.read_text())
-    manifest["arrays"] = ["v.v", "v.i", "v.ghost"]
-    manifest["meta"]["names"] = ["v", "i", "ghost"]
-    path.write_text(json.dumps(manifest))
+def _ghost_array(header):
+    # The layout promises an array the payload does not hold.
+    _, dtype, _, offset = header["layout"][-1]
+    header["layout"].append(["v.ghost", dtype, [64], offset])
+    header["meta"]["names"].append("ghost")
 
 
-def _corrupt_version_skew(root, digest):
-    path = root / digest[:2] / f"{digest}.json"
-    manifest = json.loads(path.read_text())
-    manifest["version"] = 999
-    path.write_text(json.dumps(manifest))
+def _set(field, value):
+    return lambda header: header.__setitem__(field, value)
 
 
-def _corrupt_unknown_codec(root, digest):
-    path = root / digest[:2] / f"{digest}.json"
-    manifest = json.loads(path.read_text())
-    manifest["codec"] = "not-a-codec"
-    path.write_text(json.dumps(manifest))
-
-
-def _corrupt_garbage_manifest(root, digest):
-    (root / digest[:2] / f"{digest}.json").write_text("{torn mid-write")
-
-
-def _corrupt_missing_artifact(root, digest):
-    (root / digest[:2] / f"{digest}.npz").unlink()
+def _object_dtype(header):
+    header["layout"][0][1] = "|O"
 
 
 CORRUPTIONS = {
-    "truncated-npz": _corrupt_truncate_npz,
-    "mismatched-sidecar": _corrupt_mismatched_sidecar,
-    "version-skew": _corrupt_version_skew,
-    "unknown-codec": _corrupt_unknown_codec,
-    "garbage-manifest": _corrupt_garbage_manifest,
-    "missing-artifact": _corrupt_missing_artifact,
+    "truncated-payload": dict(payload=lambda blob: blob[:24]),
+    "layout-past-payload": dict(header=_ghost_array),
+    "version-skew": dict(header=_set("version", 999)),
+    "unknown-codec": dict(header=_set("codec", "not-a-codec")),
+    "garbage-header": dict(header="{torn mid-write"),
+    "empty-payload": dict(payload=lambda blob: b""),
+    "object-dtype": dict(header=_object_dtype),
 }
 
 
@@ -230,8 +231,7 @@ class TestFaultInjection:
             key = _effective_key(_task_for(3))
             store = SolveStore(tmp_path)
             assert store.put(key, _value_for(3), codec="ndarrays")
-            digest = key_digest(key)
-            CORRUPTIONS[case](tmp_path, digest)
+            _rewrite(tmp_path, key_digest(key), **CORRUPTIONS[case])
             assert store.get(key) is None, case
             # miss-and-recompute through the service: the entry heals.
             service = SolveService(
@@ -244,31 +244,27 @@ class TestFaultInjection:
             assert healed is not None
             assert healed["v"].tobytes() == _value_for(3)["v"].tobytes()
 
-    def test_midwrite_crash_is_miss_then_pruned(self, tmp_path, backend):
+    def test_killed_writer_is_miss_then_rewritten(self, tmp_path, backend):
         with use_backend(backend):
             proc = _CTX.Process(
                 target=_crashing_writer, args=(str(tmp_path), 7)
             )
             proc.start()
             proc.join(120)
-            assert proc.exitcode == 1  # died between artifact and sidecar
-            digest = key_digest(_key_for(7))
-            assert (tmp_path / digest[:2] / f"{digest}.npz").is_file()
-            assert not (tmp_path / digest[:2] / f"{digest}.json").exists()
+            assert proc.exitcode == 1  # died inside its transaction
             store = SolveStore(tmp_path)
             assert store.get(_key_for(7)) is None  # uncommitted = miss
             assert len(store) == 0
-            # prune sweeps the orphan; a recompute then lands cleanly.
-            assert store.prune()["orphans"] == 1
-            assert not (tmp_path / digest[:2] / f"{digest}.npz").exists()
+            # The next write lands cleanly.
             assert store.put(_key_for(7), _value_for(7), codec="ndarrays")
             assert store.get(_key_for(7)) is not None
+            assert len(store) == 1
 
 
-class TestMaintenanceUnderLock:
-    def test_concurrent_rebuilds_and_writes(self, tmp_path):
-        """Index rebuilds racing writers must never crash and the final
-        rebuild must match the final tree."""
+class TestMaintenanceUnderWriters:
+    def test_prune_and_clear_race_writers(self, tmp_path):
+        """prune and clear racing live writers never crash anyone, and
+        the writers' final pass settles the store."""
         keys = 16
         writers = _overlapping_slices(keys, 3)
         procs = [
@@ -278,8 +274,11 @@ class TestMaintenanceUnderLock:
         for proc in procs:
             proc.start()
         store = SolveStore(tmp_path)
-        for _ in range(10):  # rebuild while writers are live
-            store.rebuild_index()
+        for round_ in range(10):  # maintenance while writers are live
+            if round_ % 2:
+                store.clear()
+            else:
+                store.prune(max_entries=4)
         for proc in procs:
             proc.join(120)
             assert proc.exitcode == 0

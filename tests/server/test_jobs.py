@@ -191,6 +191,78 @@ class TestThreadedWorkers:
         mgr.close()  # idempotent
 
 
+class TestRetainedMemory:
+    """Per-job memory: scenarios go at the terminal state, results are
+    kept as compact JSON."""
+
+    def test_scenario_table_empties_once_jobs_are_terminal(self):
+        mgr = JobManager(runner=stub_runner, workers=0)
+        try:
+            mgr.submit(tiny_scenario("tiny-a"))
+            cancelled, _ = mgr.submit(tiny_scenario("tiny-b"))
+            mgr.submit(tiny_scenario("tiny-c"))
+            assert len(mgr._scenarios) == 3
+            mgr.cancel(cancelled.job_id)
+            assert len(mgr._scenarios) == 2
+            while mgr.pump():
+                pass
+            assert mgr._scenarios == {}
+            # A cancelled digest resubmits fine: its scenario comes back.
+            again, coalesced = mgr.submit(tiny_scenario("tiny-b"))
+            assert not coalesced and len(mgr._scenarios) == 1
+            assert mgr.pump() and again.state == "done"
+            assert mgr._scenarios == {}
+        finally:
+            mgr.close()
+
+    def test_failed_jobs_release_their_scenario(self):
+        mgr = JobManager(runner=failing_runner, workers=0)
+        try:
+            job, _ = mgr.submit(tiny_scenario())
+            assert mgr.pump() and job.state == "failed"
+            assert mgr._scenarios == {}
+        finally:
+            mgr.close()
+
+    def test_described_result_equals_the_runner_dict(self, tmp_path):
+        expected = {}
+
+        def runner(scn, service):
+            expected.update(
+                {
+                    "id": scn.scenario_id,
+                    "x": [0.1 + 0.2, 1e-300, -0.0, 3],
+                    "nested": {"ok": True, "none": None, "s": "é"},
+                }
+            )
+            return dict(expected)
+
+        mgr = JobManager(runner=runner, workers=0)
+        try:
+            job, _ = mgr.submit(tiny_scenario())
+            assert mgr.pump()
+            assert job.describe(with_result=True)["result"] == expected
+            assert job.result == expected
+            # Each access decodes afresh: callers cannot mutate the job.
+            job.result["id"] = "mutated"
+            assert job.result == expected
+        finally:
+            mgr.close()
+
+    def test_unserializable_result_fails_the_job(self):
+        mgr = JobManager(runner=lambda scn, service: {"x": object()}, workers=0)
+        try:
+            job, _ = mgr.submit(tiny_scenario())
+            assert mgr.pump()
+            assert job.state == "failed"
+            assert job.error.startswith("TypeError: ")
+            assert "not JSON serializable" in job.error
+            assert job.result is None
+            assert mgr.stats()["failed"] == 1
+        finally:
+            mgr.close()
+
+
 class TestStats:
     def test_counters_track_events(self, manager):
         manager.submit(tiny_scenario("tiny-a"))
